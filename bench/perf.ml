@@ -426,8 +426,8 @@ let measure_efficiency ~quick =
   let deliveries = cnt "congest.deliveries_total" in
   let rounds = cnt "congest.rounds_total" in
   let arcs = 2 * Graph.m g in
-  let slots = cnt "timing.congest.fast.arena_slots_touched" in
-  let words = cnt "timing.congest.fast.arena_words_written" in
+  let slots = cnt "timing.congest.arena_slots_touched" in
+  let words = cnt "timing.congest.arena_words_written" in
   (* domain pool: one instrumented stretch verification, after an untimed
      warm-up so worker spawn cost stays outside the measurement *)
   let gp, keep = par_workload ~quick in

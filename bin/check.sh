@@ -38,12 +38,15 @@
 #   efficiency  perf efficiency gate against the committed BENCH_congest.json
 #               (includes the floors) plus its negative control
 #   perf        perf regression gate against BENCH_congest.json
+#   certbench   the repo benchmark builds against the library and its
+#               negative controls hold (certbench/run.py --self-test):
+#               clean runs pass, injected faults fail
 #
 # Every run ends with a per-stage wall-clock summary table.
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-STAGES="build fmt lint trace metrics tables parallel stream xfail sharded verify oracle efficiency perf"
+STAGES="build fmt lint trace metrics tables parallel stream xfail sharded verify oracle efficiency perf certbench"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -253,6 +256,10 @@ stage_perf() {
     --against BENCH_congest.json --tolerance 40
 }
 
+stage_certbench() {
+  python3 certbench/run.py --self-test
+}
+
 # ---------------------------------------------------------------------
 
 case "${1:-}" in
@@ -261,7 +268,7 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 esac

@@ -259,9 +259,15 @@ let run_fast ~max_rounds ~word_limit ?faults ?trace ~metrics g prog =
   let mm = meters_of metrics in
   (* Arena/merge-cursor diagnostics are strategy-internal: execution
      namespace.  [arena_slots_touched] counts first touches of send slots,
-     i.e. the arena high-water mark. *)
-  let m_arena_slots = Metrics.counter metrics "timing.congest.fast.arena_slots_touched" in
-  let m_arena_words = Metrics.counter metrics "timing.congest.fast.arena_words_written" in
+     i.e. the arena high-water mark.  The two arena counters carry no
+     backend in their name: [`Sharded] writes the same family, with the
+     same values. *)
+  let m_arena_slots =
+    Metrics.counter metrics "timing.congest.arena_slots_touched"
+  in
+  let m_arena_words =
+    Metrics.counter metrics "timing.congest.arena_words_written"
+  in
   let m_mc_cmp = Metrics.counter metrics "timing.congest.fast.merge_cursor_comparisons" in
   let m_mc_hits = Metrics.counter metrics "timing.congest.fast.merge_cursor_hits" in
   let m_mc_fallbacks =
@@ -499,10 +505,10 @@ let run_sharded ~max_rounds ~word_limit ?faults ?trace ~metrics ?jobs g prog =
   (match trace with Some tr -> Trace.start tr ~n | None -> ());
   let mm = meters_of metrics in
   let m_arena_slots =
-    Metrics.counter metrics "timing.congest.sharded.arena_slots_touched"
+    Metrics.counter metrics "timing.congest.arena_slots_touched"
   in
   let m_arena_words =
-    Metrics.counter metrics "timing.congest.sharded.arena_words_written"
+    Metrics.counter metrics "timing.congest.arena_words_written"
   in
   let m_par_rounds =
     Metrics.counter metrics "timing.congest.sharded.parallel_step_rounds"

@@ -12,7 +12,7 @@
    byte-identical snapshots for any [--jobs] and any simulator engine.
    [timing.*] is the execution namespace: wall-clock timers (auto-prefixed
    here) and engine-/schedule-internal diagnostics (registered under
-   [timing.] explicitly, e.g. [timing.congest.fast.arena_slots_touched]),
+   [timing.] explicitly, e.g. [timing.congest.arena_slots_touched]),
    excluded from the determinism gates in check.sh/CI. *)
 
 type counter = { mutable cv : int; c_live : bool }

@@ -2,13 +2,23 @@ open! Import
 
 type spanner_witness = { k : int; detour : int array array; missing : int }
 
-(* Hop-bounded, budget-pruned shortest paths inside the spanner subgraph.
-   [dist.(h*n + v)] is the least weight of an explored path from the
-   source to [v] with at most [h] hops that was *improved at layer h*;
-   the true <=h-hop optimum is the min over layers [0..h].  [par] records
-   the predecessor of each explicit entry, so backtracking from an
-   argmin layer walks a path with exactly that many hops.  Arrays are
-   sized once and reset through [touched] between sources. *)
+(* Hop-bounded, budget-pruned shortest paths inside the spanner subgraph,
+   one layered search per canonical endpoint [u] of a non-spanner edge.
+   [dist.(h*n + v)] is the weight of the explored [h]-hop path to [v]
+   that was recorded at layer [h], [par] its predecessor at layer [h-1].
+   A relaxation is recorded only when it strictly beats [best.(v)], the
+   least weight recorded at any layer so far, so a vertex's recorded
+   weights strictly decrease with the layer: [best_layer.(v)] (the last
+   recording) is the fewest-hop argmin, and backtracking from it walks a
+   path with exactly that many hops.  Layer [h] relaxes the arcs of the
+   vertices recorded at layer [h-1], walked in reverse recording order;
+   that order fixes the tie-breaking and so the output bytes.
+
+   All scratch is flat and sized once: the kept arcs in their own CSR
+   (the dropped arcs are never walked), two frontier arrays that swap
+   after each layer, and two stacks listing the [dist] entries and the
+   vertices to reset between sources.  Nothing is allocated per
+   relaxation; only the detour paths themselves are. *)
 let spanner g ~k sp =
   if k < 1 then invalid_arg "Witness.spanner: k >= 1";
   let n = Graph.n g and m = Graph.m g in
@@ -17,84 +27,128 @@ let spanner g ~k sp =
     invalid_arg "Witness.spanner: keep length mismatch";
   let hmax = (2 * k) - 1 in
   let inf = max_int in
+  let { Graph.off; dst; eid; _ } = Graph.csr g in
+  let koff = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    let c = ref koff.(v) in
+    for a = off.(v) to off.(v + 1) - 1 do
+      if keep.(eid.(a)) then incr c
+    done;
+    koff.(v + 1) <- !c
+  done;
+  let kdst = Array.make koff.(n) 0 and kw = Array.make koff.(n) 0 in
+  let w_min = ref inf in
+  let p = ref 0 in
+  for a = 0 to off.(n) - 1 do
+    let e = eid.(a) in
+    if keep.(e) then begin
+      let w = Graph.weight g e in
+      kdst.(!p) <- dst.(a);
+      kw.(!p) <- w;
+      if w < !w_min then w_min := w;
+      incr p
+    end
+  done;
+  let w_min = !w_min in
   let layers = hmax + 1 in
   let dist = Array.make (layers * n) inf in
   let par = Array.make (layers * n) (-1) in
-  let touched = ref [] in
-  let set h v d p =
-    let i = (h * n) + v in
-    if dist.(i) = inf then touched := i :: !touched;
-    dist.(i) <- d;
-    par.(i) <- p
-  in
-  let get h v = dist.((h * n) + v) in
-  let best_upto h v =
-    (* min over layers 0..h, preferring the fewest hops on ties *)
-    let bd = ref inf and bh = ref (-1) in
-    for h' = 0 to h do
-      let d = get h' v in
-      if d < !bd then begin
-        bd := d;
-        bh := h'
-      end
-    done;
-    (!bd, !bh)
-  in
+  let best = Array.make n inf and best_layer = Array.make n 0 in
+  let frontier = ref (Array.make n 0) and next = ref (Array.make n 0) in
+  let dirty = Array.make (layers * n) 0 and ndirty = ref 0 in
+  let seen = Array.make n 0 and nseen = ref 0 in
+  let deg = max 1 (Graph.max_degree g) in
+  let tv = Array.make deg 0 and te = Array.make deg 0 in
   let detour = Array.make m [||] in
   let missing = ref 0 in
   for u = 0 to n - 1 do
-    let targets =
-      Graph.fold_adj g u
-        (fun acc v eid ->
-          if u < v && not keep.(eid) then (v, eid) :: acc else acc)
-        []
-    in
-    if targets <> [] then begin
-      let budget =
-        List.fold_left
-          (fun b (_, eid) -> max b (hmax * Graph.weight g eid))
-          0 targets
-      in
-      set 0 u 0 (-1);
-      let frontier = ref [ u ] in
-      for h = 1 to hmax do
-        let next = ref [] in
-        List.iter
-          (fun v ->
-            let dv = get (h - 1) v in
-            Graph.iter_adj g v (fun v' eid ->
-                if keep.(eid) then begin
-                  let nd = dv + Graph.weight g eid in
-                  let cur, _ = best_upto h v' in
-                  if nd <= budget && nd < cur then begin
-                    if get h v' = inf then next := v' :: !next;
-                    set h v' nd v
-                  end
-                end))
-          (List.rev !frontier);
-        frontier := List.rev !next
+    (* targets in adjacency order *)
+    let nt = ref 0 and budget = ref 0 in
+    for a = off.(u) to off.(u + 1) - 1 do
+      let v = dst.(a) and e = eid.(a) in
+      if u < v && not keep.(e) then begin
+        tv.(!nt) <- v;
+        te.(!nt) <- e;
+        incr nt;
+        budget := max !budget (hmax * Graph.weight g e)
+      end
+    done;
+    let nt = !nt and budget = !budget in
+    if nt > 0 then begin
+      dist.(u) <- 0;
+      dirty.(0) <- u;
+      best.(u) <- 0;
+      best_layer.(u) <- 0;
+      seen.(0) <- u;
+      ndirty := 1;
+      nseen := 1;
+      !frontier.(0) <- u;
+      let flen = ref 1 and h = ref 1 in
+      while !h <= hmax && !flen > 0 do
+        let fr = !frontier and nx = !next in
+        let prev = (!h - 1) * n and base = !h * n in
+        let nlen = ref 0 in
+        for i = !flen - 1 downto 0 do
+          let v = fr.(i) in
+          let dv = dist.(prev + v) in
+          for a = koff.(v) to koff.(v + 1) - 1 do
+            let x = kdst.(a) in
+            let nd = dv + kw.(a) in
+            if nd <= budget && nd < best.(x) then begin
+              let j = base + x in
+              if dist.(j) = inf then begin
+                nx.(!nlen) <- x;
+                incr nlen;
+                dirty.(!ndirty) <- j;
+                incr ndirty
+              end;
+              dist.(j) <- nd;
+              par.(j) <- v;
+              if best.(x) = inf then begin
+                seen.(!nseen) <- x;
+                incr nseen
+              end;
+              best.(x) <- nd;
+              best_layer.(x) <- !h
+            end
+          done
+        done;
+        frontier := nx;
+        next := fr;
+        flen := !nlen;
+        (* Every later path has at least [h+1] kept arcs, so weighs at
+           least [(h+1) * w_min]; once no target can strictly improve on
+           that, the remaining layers cannot change the output. *)
+        if !flen > 0 && !h < hmax then begin
+          let bound = (!h + 1) * w_min in
+          let t = ref 0 in
+          while !t < nt && best.(tv.(!t)) <= bound do
+            incr t
+          done;
+          if !t = nt then flen := 0
+        end;
+        incr h
       done;
-      List.iter
-        (fun (v, eid) ->
-          let d, h = best_upto hmax v in
-          if d <= hmax * Graph.weight g eid then begin
-            let path = Array.make (h + 1) 0 in
-            let cur = ref v and hh = ref h in
-            while !hh >= 0 do
-              path.(!hh) <- !cur;
-              cur := par.((!hh * n) + !cur);
-              decr hh
-            done;
-            detour.(eid) <- path
-          end
-          else incr missing)
-        (List.rev targets);
-      List.iter
-        (fun i ->
-          dist.(i) <- inf;
-          par.(i) <- -1)
-        !touched;
-      touched := []
+      for t = 0 to nt - 1 do
+        let v = tv.(t) and e = te.(t) in
+        if best.(v) <= hmax * Graph.weight g e then begin
+          let h = best_layer.(v) in
+          let path = Array.make (h + 1) u in
+          let cur = ref v in
+          for hh = h downto 1 do
+            path.(hh) <- !cur;
+            cur := par.((hh * n) + !cur)
+          done;
+          detour.(e) <- path
+        end
+        else incr missing
+      done;
+      for i = 0 to !ndirty - 1 do
+        dist.(dirty.(i)) <- inf
+      done;
+      for i = 0 to !nseen - 1 do
+        best.(seen.(i)) <- inf
+      done
     end
   done;
   { k; detour; missing = !missing }

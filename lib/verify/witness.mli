@@ -29,9 +29,32 @@ type spanner_witness = {
 
 val spanner : Graph.t -> k:int -> Spanner.t -> spanner_witness
 (** Build detour witnesses by hop-bounded shortest-path search ([<= 2k-1]
-    layers of budget-pruned relaxation) inside the spanner subgraph, one
-    search per canonical endpoint with early exit once its non-spanner
-    edges are settled.
+    layers of relaxation over kept edges, pruned at the budget
+    [(2k-1) * max w(e)] over the source's non-spanner edges) inside the
+    spanner subgraph, one search per smaller endpoint [u] of a
+    non-spanner edge.
+
+    {b Early exit.}  The search from [u] stops after layer [h] once every
+    target [v] (the larger endpoint of a non-spanner edge at [u]) has a
+    recorded weight [<= (h+1) * w_min], with [w_min] the least kept
+    edge weight: every path with more hops weighs at least that, and
+    only strict improvements are recorded, so the later layers could
+    not change any detour.
+
+    {b Tie-break contract.}  A relaxation is recorded only when it is
+    strictly lighter than every path recorded to that vertex so far, at
+    any hop count.  So each detour is a least-weight path of at most
+    [2k-1] kept edges, with the fewest hops among those, and among equal
+    candidates the first one found wins.  Layer [h] expands the vertices
+    recorded at layer [h-1] in reverse recording order, and each
+    vertex's kept arcs in increasing neighbour order.  The output is a
+    pure function of the graph, [k] and the mask.
+
+    {b Cost.}  O(n·(2k) + m) scratch, allocated once per call (per-layer
+    weights and predecessors, two frontier arrays, reset stacks, and the
+    kept arcs in their own CSR so dropped arcs are never walked); no
+    allocation per relaxation, only the detour paths themselves.  Time
+    is at most O(n + m) per source and layer.
 
     {b Scope.}  The paper's cluster-based constructions (Baswana–Sen and
     its derandomization, the linear-size and ultra-sparse spanners)

@@ -106,7 +106,7 @@ let disabled_hot_path_allocates_nothing () =
 let populated_registry () =
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "congest.deliveries_total") 315;
-  Metrics.add (Metrics.counter r "timing.congest.fast.arena_slots_touched") 9;
+  Metrics.add (Metrics.counter r "timing.congest.arena_slots_touched") 9;
   Metrics.set (Metrics.gauge r "congest.max_payload_words") 4;
   let h = Metrics.histogram ~buckets:[| 2; 8 |] r "congest.per_round" in
   List.iter (Metrics.observe h) [ 1; 5; 100 ];
@@ -149,7 +149,7 @@ let strip_timing_drops_execution () =
   let d = Metrics.strip_timing s in
   Alcotest.(check int) "timers all dropped" 0 (List.length d.Metrics.timers);
   Alcotest.(check bool) "timing counter dropped" true
-    (Metrics.find_counter d "timing.congest.fast.arena_slots_touched" = None);
+    (Metrics.find_counter d "timing.congest.arena_slots_touched" = None);
   Alcotest.(check (option int))
     "deterministic counter kept" (Some 315)
     (Metrics.find_counter d "congest.deliveries_total");
@@ -212,6 +212,47 @@ let jobs_invariance =
         Metrics.exposition ~strip:true (Metrics.snapshot r)
       in
       witness 1 = witness 4)
+
+(* Flood for a fixed number of rounds: every node sends its id to every
+   neighbour each round, so every arc's arena slot is written. *)
+let flood_program rounds =
+  {
+    Network.init = (fun _ _ -> ());
+    round =
+      (fun g ~round ~me () _inbox ->
+        let out =
+          if round >= rounds then []
+          else List.map (fun (u, _) -> (u, [| me |])) (Graph.neighbors g me)
+        in
+        { Network.state = (); out; halt = round >= rounds });
+  }
+
+(* The arena counters are named once for both delivery backends; a perf
+   gate reading a backend-specific name would silently read 0 here. *)
+let arena_counters_backend_invariant () =
+  let g =
+    Generators.connected_gnp ~rng:(Rng.create 7) ~n:300 ~avg_degree:6.0
+  in
+  let counters backend jobs =
+    let r = Metrics.create () in
+    ignore (Network.run ~metrics:r ~backend ~jobs g (flood_program 3));
+    let s = Metrics.snapshot r in
+    List.map
+      (fun name -> Option.value ~default:0 (Metrics.find_counter s name))
+      [
+        "timing.congest.arena_slots_touched";
+        "timing.congest.arena_words_written";
+        "congest.deliveries_total";
+      ]
+  in
+  let seq = counters `Seq 1 in
+  let arcs = 2 * Graph.m g in
+  Alcotest.(check (list int))
+    "seq: every slot touched, one word per delivery"
+    [ arcs; 3 * arcs; 3 * arcs ]
+    seq;
+  Alcotest.(check (list int)) "sharded -j 1" seq (counters `Sharded 1);
+  Alcotest.(check (list int)) "sharded -j 4" seq (counters `Sharded 4)
 
 let partial_snapshot_on_round_limit () =
   let g = unit_graph_of_seed 12 in
@@ -276,6 +317,8 @@ let suite =
     case "exposition is deterministic" exposition_deterministic;
     engine_differential;
     jobs_invariance;
+    case "arena counters agree across backends and jobs"
+      arena_counters_backend_invariant;
     case "round-limit abort flushes a partial snapshot"
       partial_snapshot_on_round_limit;
     case "profile: nested scopes, export, chrome events"

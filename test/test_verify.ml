@@ -47,6 +47,92 @@ let empty_spanner_rejected () =
   Alcotest.(check bool) "rejected" false v.Verify.ok;
   Alcotest.(check bool) "has rejecting nodes" true (v.Verify.rejects > 0)
 
+(* ---------- witness builder vs the list-based reference ----------
+
+   [Witness_ref] is the builder [Witness.spanner] replaced.  The two must
+   agree byte for byte on [detour] and [missing]: on the constructions'
+   own masks, on corrupted and empty masks, on weighted inputs (where the
+   early exit is weight-driven) and on disconnected ones. *)
+
+let same_witness g ~k keep =
+  let sp = { (Spanner.empty g) with Spanner.keep } in
+  Witness.spanner g ~k sp = Witness_ref.spanner g ~k sp
+
+let masks_of ~seed ~k g =
+  let bs = (Bs_derand.run ~k g).Bs_derand.spanner.Spanner.keep in
+  let rng = Rng.create seed in
+  let corrupt =
+    Array.map (fun kp -> if Rng.bernoulli rng 0.15 then not kp else kp) bs
+  in
+  [ bs; (Greedy.run ~k g).Spanner.keep; corrupt; Array.make (Graph.m g) false ]
+
+let witness_differential name graph_of =
+  qcheck ~count:25 name seed_gen (fun seed ->
+      let g = graph_of seed in
+      List.for_all
+        (fun k -> List.for_all (same_witness g ~k) (masks_of ~seed ~k g))
+        [ 1; 2; 3; 4 ])
+
+let witness_matches_reference_unit =
+  witness_differential "witness == list-based reference (unit, k 1..4)"
+    (unit_graph_of_seed ~n_max:80)
+
+let witness_matches_reference_weighted =
+  witness_differential "witness == list-based reference (max_w 20, k 1..4)"
+    (graph_of_seed ~n_max:80 ~max_w:20)
+
+let witness_matches_reference_disconnected =
+  witness_differential
+    "witness == list-based reference (disconnected, weights 0..20)"
+    (fun seed ->
+      let rng = Rng.create (succ seed) in
+      let n = 10 + Rng.int rng 60 in
+      Generators.gnp ~rng ~n ~p:(1.5 /. float_of_int n)
+      |> Generators.randomize_weights ~rng ~lo:0 ~hi:20)
+
+let witness_lighter_longer_detour () =
+  (* Edge 0-1 (weight 2) is dropped.  The spanner offers 0-2-1 (2 hops,
+     weight 4) and 0-3-4-1 (3 hops, weight 3).  After layer 2 the best
+     known weight, 4, exceeds the 3 * w_min = 3 a 3-hop path must weigh,
+     so the early exit must not fire: layer 3 finds the lighter path. *)
+  let g =
+    Graph.of_edges ~n:5
+      [ (0, 1, 2); (0, 2, 2); (2, 1, 2); (0, 3, 1); (3, 4, 1); (4, 1, 1) ]
+  in
+  let dropped = Option.get (Graph.find_edge g 0 1) in
+  let keep = Array.init (Graph.m g) (fun e -> e <> dropped) in
+  let sp = { (Spanner.empty g) with Spanner.keep } in
+  let w = Witness.spanner g ~k:2 sp in
+  Alcotest.(check int) "no missing witnesses" 0 w.Witness.missing;
+  Alcotest.(check (array int))
+    "lighter 3-hop detour" [| 0; 3; 4; 1 |] w.Witness.detour.(dropped);
+  Alcotest.(check bool) "same as reference" true (same_witness g ~k:2 keep);
+  (* with k = 1 only the direct hop is allowed: no detour exists *)
+  let w1 = Witness.spanner g ~k:1 sp in
+  Alcotest.(check int) "k = 1: missing" 1 w1.Witness.missing
+
+let witness_allocation_bounded () =
+  (* The builder allocates its scratch once and then only the detour
+     paths: nothing per relaxation. *)
+  let g =
+    Generators.connected_gnp ~rng:(Rng.create 3) ~n:300 ~avg_degree:40.0
+  in
+  let k = 3 in
+  let sp = sp_of g k in
+  let before = Gc.allocated_bytes () in
+  let w = Witness.spanner g ~k sp in
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let n = Graph.n g and m = Graph.m g in
+  let paths =
+    Array.fold_left (fun acc p -> acc + Array.length p + 1) 0 w.Witness.detour
+  in
+  let scratch = (3 * 2 * k * n) + (6 * n) + (5 * m) + Graph.max_degree g in
+  if words > float_of_int ((2 * (scratch + paths)) + 4096) then
+    Alcotest.failf "allocated %.0f words; scratch %d + paths %d" words scratch
+      paths
+
 let cert_accepts name builder =
   qcheck ~count:12 name seed_gen (fun seed ->
       let g = unit_graph_of_seed ~n_max:80 seed in
@@ -176,6 +262,13 @@ let suite =
     weighted_accepts;
     case "whole-graph spanner: vacuous accept" whole_graph_spanner;
     case "empty spanner rejected" empty_spanner_rejected;
+    witness_matches_reference_unit;
+    witness_matches_reference_weighted;
+    witness_matches_reference_disconnected;
+    case "witness: lighter longer detour beats the early exit"
+      witness_lighter_longer_detour;
+    case "witness: allocation bounded by scratch + paths"
+      witness_allocation_bounded;
     thurimella_accepts;
     ni_accepts;
     case "corruption matrix: all detected" matrix_detects;
