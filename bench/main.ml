@@ -17,15 +17,13 @@
                         instead of writing; exit 1 on any difference
    [--tolerance PCT]    wall-clock tolerance for --against (default 75)
    [--refresh-goldens]  with --against DIR: rewrite DIR instead of diffing
-   [--jobs N | -j N]    fan independent sections/trials over N domains
-                        (default: ULTRASPAN_JOBS or 1); artifacts are
-                        byte-identical for every N
-   [--backend B]        delivery backend (seq|sharded) for the tables that
-                        run the CONGEST simulator; artifacts are
-                        byte-identical either way (default seq)
-   [--engine E]         simulator message plane (fast|ref) for the same
-                        tables; byte-identical either way (default fast;
-                        ref has no sharded backend)
+   [--jobs N | -j N]    fan independent sections/trials, and the CONGEST
+                        simulator's node shards, over N domains (default:
+                        ULTRASPAN_JOBS or 1); artifacts are byte-identical
+                        for every N
+   [--engine E]         simulator message plane (fast|ref) for the tables
+                        that run the CONGEST simulator; byte-identical
+                        either way (default fast)
    [--verify MODE]      after the tables, verify freshly built artifacts
                         (spanner + certificate) in MODE (local|exact|
                         probe); a rejection counts as a bound violation,
@@ -39,17 +37,11 @@ let fmt = Printf.printf
 
 let jobs = ref (Parallel.default_jobs ())
 
-(* Delivery backend for the simulator-running tables (t1/t2 distributed
-   rows, t8, o1, r1).  [`Seq] by default so default runs involve no
-   domain pool inside Network.run; [`Sharded] is byte-identical in every
-   observable (Network.run's guarantee), so artifacts do not depend on
-   this flag.  The O2 engine-comparison section keeps its own explicit
-   engine/backend choices. *)
-let backend : Network.backend ref = ref `Seq
-
-(* Message plane for the same tables.  [`Fast] by default; [`Ref] is the
-   list-based oracle, observably identical (and rejected in combination
-   with --backend sharded, exactly like the CLI). *)
+(* Message plane for the simulator-running tables (t1/t2 distributed
+   rows, t8, o1, r1, v1).  [`Fast] by default; [`Ref] is the list-based
+   oracle, observably identical (Network.run's guarantee), so artifacts do
+   not depend on this flag.  The O2 engine-comparison section keeps its
+   own explicit engine choices. *)
 let engine : Network.engine ref = ref `Fast
 
 (* The harness-level metrics registry (--metrics FILE).  Tables that
@@ -312,7 +304,7 @@ let table2 ~quick () =
         let bs_w = Baswana_sen.run ~rng:(Rng.create 3) ~k gw in
         let de_u = Bs_derand.run ~k gu in
         let de_w = Bs_derand.run ~k gw in
-        let bd = Bs_distributed.run ~engine:!engine ~backend:!backend ~jobs:!jobs ~seed:11 ~k gw in
+        let bd = Bs_distributed.run ~engine:!engine ~jobs:!jobs ~seed:11 ~k gw in
         let bd_sp = bd.Bs_distributed.spanner in
         let bd_s = stretch_of gw bd_sp.Spanner.keep in
         let bd_rounds = bd.Bs_distributed.network_stats.Network.rounds in
@@ -1176,20 +1168,20 @@ let table8 ~quick () =
               ("notes", T.Str notes);
             ]
         in
-        let be = !engine and bk = !backend and bj = !jobs in
-        let bfs_res, s1 = Programs.bfs ~engine:be ~backend:bk ~jobs:bj g ~root:0 in
+        let be = !engine and bj = !jobs in
+        let bfs_res, s1 = Programs.bfs ~engine:be ~jobs:bj g ~root:0 in
         let _, s2 =
-          Programs.broadcast_max ~engine:be ~backend:bk ~jobs:bj g
+          Programs.broadcast_max ~engine:be ~jobs:bj g
             ~values:(Array.init n Fun.id)
         in
-        let _, s3 = Programs.maximal_matching ~engine:be ~backend:bk ~jobs:bj g in
-        let _, s4 = Programs.luby_mis ~engine:be ~backend:bk ~jobs:bj ~seed:5 g in
-        let _, s5 = Programs.bellman_ford ~engine:be ~backend:bk ~jobs:bj gw ~source:0 in
-        let forest, s6 = Programs.spanning_forest ~engine:be ~backend:bk ~jobs:bj g in
+        let _, s3 = Programs.maximal_matching ~engine:be ~jobs:bj g in
+        let _, s4 = Programs.luby_mis ~engine:be ~jobs:bj ~seed:5 g in
+        let _, s5 = Programs.bellman_ford ~engine:be ~jobs:bj gw ~source:0 in
+        let forest, s6 = Programs.spanning_forest ~engine:be ~jobs:bj g in
         let bs_rows =
           List.map
             (fun k ->
-              let out = Bs_distributed.run ~engine:be ~backend:bk ~jobs:bj ~seed:7 ~k gw in
+              let out = Bs_distributed.run ~engine:be ~jobs:bj ~seed:7 ~k gw in
               let st = out.Bs_distributed.network_stats in
               row
                 ~bounds:
@@ -1493,8 +1485,8 @@ let table_r1 ~quick () =
     pmap
       (fun (name, plan) ->
         let result, stats =
-          Programs.bfs ~faults:(Faults.make plan) ~engine:!engine ~backend:!backend
-            ~jobs:!jobs g ~root:0
+          Programs.bfs ~faults:(Faults.make plan) ~engine:!engine ~jobs:!jobs g
+            ~root:0
         in
         let reached =
           Array.fold_left
@@ -1527,7 +1519,7 @@ let table_r1 ~quick () =
   let replay plan =
     let f = Faults.make plan in
     let result, stats =
-      Programs.bfs ~faults:f ~engine:!engine ~backend:!backend ~jobs:!jobs g ~root:0
+      Programs.bfs ~faults:f ~engine:!engine ~jobs:!jobs g ~root:0
     in
     (result, stats, Faults.events f)
   in
@@ -1649,7 +1641,7 @@ let table_o1 ~quick () =
   let trb = Trace.create g in
   let _, s =
     Profile.time profile "bfs" (fun () ->
-        Programs.bfs ~trace:trb ~engine:!engine ~backend:!backend ~jobs:!jobs g ~root:0)
+        Programs.bfs ~trace:trb ~engine:!engine ~jobs:!jobs g ~root:0)
   in
   let bfs_ok = s.Network.rounds <= ecc + 2 in
   let bfs_section =
@@ -1676,7 +1668,7 @@ let table_o1 ~quick () =
   let trs = Trace.create gw in
   let out =
     Profile.time profile "baswana-sen" (fun () ->
-        Bs_distributed.run ~trace:trs ~engine:!engine ~backend:!backend ~jobs:!jobs ~seed:7 ~k
+        Bs_distributed.run ~trace:trs ~engine:!engine ~jobs:!jobs ~seed:7 ~k
           gw)
   in
   let sb = out.Bs_distributed.network_stats in
@@ -1723,7 +1715,7 @@ let table_o1 ~quick () =
        let tr = Trace.create sub in
        let eids, sf =
          Profile.time profile "thurimella-forests" (fun () ->
-             Programs.spanning_forest ~trace:tr ~engine:!engine ~backend:!backend ~jobs:!jobs
+             Programs.spanning_forest ~trace:tr ~engine:!engine ~jobs:!jobs
                sub)
        in
        if !first_trace = None then first_trace := Some tr;
@@ -2466,7 +2458,7 @@ let table_v1 ~quick () =
         let sp = (Bs_derand.run ~k g).Bs_derand.spanner in
         let w = Witness.spanner g ~k sp in
         let cv =
-          Checkers.spanner ~engine:!engine ~backend:!backend ~jobs:!jobs g
+          Checkers.spanner ~engine:!engine ~jobs:!jobs g
             ~keep:sp.Spanner.keep ~k ~detour:w.Witness.detour
         in
         let cert = Thurimella.certificate ~k:ck g in
@@ -2474,7 +2466,7 @@ let table_v1 ~quick () =
           match Witness.certificate g cert with
           | Error e -> failwith ("v1: no certificate witness: " ^ e)
           | Ok cw ->
-              Checkers.forests ~engine:!engine ~backend:!backend ~jobs:!jobs g
+              Checkers.forests ~engine:!engine ~jobs:!jobs g
                 ~keep:cert.Certificate.keep ~k:ck ~forest:cw.Witness.forest
                 ~parent:cw.Witness.parent ~depth:cw.Witness.depth
                 ~root:cw.Witness.root
@@ -2769,8 +2761,8 @@ let usage () =
     "usage: main.exe [--quick] [--all] [--table ID]... [--strict]\n\
     \                [--artifacts DIR] [--against DIR] [--tolerance PCT]\n\
     \                [--refresh-goldens] [--jobs N | -j N] [--metrics FILE]\n\
-    \                [--backend seq|sharded] [--engine fast|ref]\n\
-    \                [--verify local|exact|probe] [--bechamel]\n\
+    \                [--engine fast|ref] [--verify local|exact|probe]\n\
+    \                [--bechamel]\n\
      tables: t1 t2 t3 t4 t5 t6 t7 t8 t9 f1 r1 a1 a2 o1 o2 d1 v1 q1 (and \
      xfail, the negative control)"
 
@@ -2815,12 +2807,6 @@ let () =
         | Some j when j >= 1 -> jobs := j
         | _ -> die "--jobs expects a positive integer, got %S" v);
         parse r
-    | "--backend" :: b :: r ->
-        (match b with
-        | "seq" -> backend := `Seq
-        | "sharded" -> backend := `Sharded
-        | _ -> die "--backend expects seq or sharded, got %S" b);
-        parse r
     | "--engine" :: e :: r ->
         (match e with
         | "fast" -> engine := `Fast
@@ -2833,19 +2819,12 @@ let () =
         | Error e -> die "%s" e);
         parse r
     | [ (("--table" | "--artifacts" | "--against" | "--tolerance" | "--jobs"
-        | "-j" | "--metrics" | "--backend" | "--engine" | "--verify") as f) ]
+        | "-j" | "--metrics" | "--engine" | "--verify") as f) ]
       ->
         die "%s needs an argument" f
     | a :: _ -> die "unknown argument %S" a
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* same contradiction, same one-line diagnostic as the CLI *)
-  if !engine = `Ref && !backend = `Sharded then begin
-    prerr_endline
-      "main.exe: --engine ref has no sharded delivery backend (drop \
-       --backend sharded or use --engine fast)";
-    exit 1
-  end;
   (match !metrics_file with
   | None -> ()
   | Some _ ->
@@ -2914,12 +2893,12 @@ let () =
         let g = Gcache.gnp ~seed:47 ~n ~avg_degree:(fi n /. 8.) in
         let sp = (Bs_derand.run ~k:3 g).Bs_derand.spanner in
         let vs =
-          Verify.spanner ~engine:!engine ~backend:!backend ~jobs:!jobs ~mode
+          Verify.spanner ~engine:!engine ~jobs:!jobs ~mode
             ~k:3 g sp
         in
         let cert = Thurimella.certificate ~k:2 g in
         let vc =
-          Verify.certificate ~engine:!engine ~backend:!backend ~jobs:!jobs
+          Verify.certificate ~engine:!engine ~jobs:!jobs
             ~mode g cert
         in
         List.iter

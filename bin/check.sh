@@ -15,7 +15,8 @@
 #   trace       trace-exporter smoke test
 #   metrics     metrics plane: snapshots are emitted and render, and outside
 #               the timing.* namespace they are byte-identical for the same
-#               seed across engines (fast vs ref) and job counts (1 vs 4)
+#               seed across job counts (1 vs 4) and, past the parallel.*
+#               pool counters only the fast engine has, across engines
 #   tables      bench tables, strict: every declared paper bound must hold,
 #               the artifacts round-trip through the golden differ
 #   parallel    rerunning the tables over several domains (--jobs) must
@@ -24,12 +25,12 @@
 #               recertified, and rerunning D1 from the same seed reproduces
 #               its artifact byte-for-byte
 #   xfail       negative control: a deliberately violated bound must fail
-#   sharded     --engine ref --backend sharded must be rejected, a sharded
-#               CLI run must leave deterministic metrics byte-identical to
-#               the sequential backend at -j 1 / -j 4, and the large-n
-#               mp-smoke must pass
+#   sharded     a CLI run of the sharded simulator leaves its deterministic
+#               metrics byte-identical at -j 1 / -j 4 and its congest.*
+#               counters equal to the ref engine's, and the large-n
+#               mp-smoke (ref vs -j 1 vs -j 4) must pass
 #   verify      verification plane: the corruption matrix transcript is
-#               byte-identical across engines/backends/job counts, every
+#               byte-identical at -j 1, -j 4 and on the ref engine, every
 #               corruption is rejected, and the bench --verify gate passes
 #   oracle      serving layer: compile -> query round-trips end-to-end with
 #               local verification, the result file is byte-identical at
@@ -37,7 +38,9 @@
 #               one-line diagnostic and exit 1
 #   efficiency  perf efficiency gate against the committed BENCH_congest.json
 #               (includes the floors) plus its negative control
-#   perf        perf regression gate against BENCH_congest.json
+#   perf        perf regression gate against BENCH_congest.json, plus its
+#               negative control on >= 2 cores: at --jobs 1 the sharded
+#               -j N vs -j 1 speedup gate must fail
 #   certbench   the repo benchmark builds against the library and its
 #               negative controls hold (certbench/run.py --self-test):
 #               clean runs pass, injected faults fail
@@ -101,7 +104,12 @@ stage_metrics() {
     --expose --strip-timing >"$tmp/m-fast.prom"
   dune exec bin/ultraspan_cli.exe -- metrics "$tmp/m-ref.json" \
     --expose --strip-timing >"$tmp/m-ref.prom"
-  cmp "$tmp/m-fast.prom" "$tmp/m-ref.prom"
+  # The ref engine never enters the domain pool, so only the fast
+  # snapshot has parallel.* section counters; every other line must match.
+  grep -q "^parallel\.sections_total" "$tmp/m-fast.prom"
+  grep -v "^parallel\." "$tmp/m-fast.prom" >"$tmp/m-fast-np.prom"
+  grep -v "^parallel\." "$tmp/m-ref.prom" >"$tmp/m-ref-np.prom"
+  cmp "$tmp/m-fast-np.prom" "$tmp/m-ref-np.prom"
   dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
     --family gnp -n 200 --degree 8 --seed 3 -j 1 \
     --metrics "$tmp/m-j1.json" >/dev/null
@@ -158,59 +166,44 @@ stage_xfail() {
 }
 
 stage_sharded() {
-  if dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-      --family gnp -n 64 --degree 6 --seed 3 --engine ref --backend sharded \
-      >/dev/null 2>&1; then
-    echo "ERROR: --engine ref --backend sharded was accepted" >&2
-    exit 1
-  fi
-  # bench/main.exe must reject the same contradiction with the same line
-  if dune exec bench/main.exe -- --engine ref --backend sharded \
-      >/dev/null 2>&1; then
-    echo "ERROR: bench accepted --engine ref --backend sharded" >&2
-    exit 1
-  fi
-  # Jobs invariance on the sharded backend: the whole stripped exposition
-  # must be byte-identical at -j 1 and -j 4.  Across backends only the
-  # deterministic congest.* counters are comparable (the pool meters count
-  # pool sections, and the sharded backend runs more of them by design).
+  # Jobs invariance of the sharded simulator: the whole stripped
+  # exposition must be byte-identical at -j 1 and -j 4.  Against the ref
+  # engine only the deterministic congest.* counters are comparable (the
+  # pool meters count sections, and the ref engine runs none).
   dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-    --family gnp -n 200 --degree 8 --seed 3 --backend seq -j 1 \
-    --metrics "$tmp/m-bseq.json" >/dev/null
+    --family gnp -n 200 --degree 8 --seed 3 --engine ref \
+    --metrics "$tmp/m-ref.json" >/dev/null
   dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-    --family gnp -n 200 --degree 8 --seed 3 --backend sharded -j 1 \
+    --family gnp -n 200 --degree 8 --seed 3 -j 1 \
     --metrics "$tmp/m-sh1.json" >/dev/null
   dune exec bin/ultraspan_cli.exe -- spanner --algo bs-distributed \
-    --family gnp -n 200 --degree 8 --seed 3 --backend sharded -j 4 \
+    --family gnp -n 200 --degree 8 --seed 3 -j 4 \
     --metrics "$tmp/m-sh4.json" >/dev/null
-  for b in bseq sh1 sh4; do
+  for b in ref sh1 sh4; do
     dune exec bin/ultraspan_cli.exe -- metrics "$tmp/m-$b.json" \
       --expose --strip-timing >"$tmp/m-$b.prom"
   done
   cmp "$tmp/m-sh1.prom" "$tmp/m-sh4.prom"
-  grep "^congest\." "$tmp/m-bseq.prom" >"$tmp/congest-seq.txt"
+  grep "^congest\." "$tmp/m-ref.prom" >"$tmp/congest-ref.txt"
   grep "^congest\." "$tmp/m-sh1.prom" >"$tmp/congest-sh.txt"
   grep -q "congest\.payload_words_total" "$tmp/congest-sh.txt"
   grep -q "congest\.max_payload_words" "$tmp/congest-sh.txt"
-  cmp "$tmp/congest-seq.txt" "$tmp/congest-sh.txt"
+  cmp "$tmp/congest-ref.txt" "$tmp/congest-sh.txt"
   dune exec bench/perf.exe -- --mp-smoke 100000
 }
 
 stage_verify() {
   # Corruption matrix: every valid artifact accepted, every seeded
-  # corruption rejected, and the transcript byte-identical across
-  # engines, backends and job counts.
-  dune exec bin/ultraspan_cli.exe -- verify --quick --backend seq \
-    >"$tmp/verify-seq.txt"
-  dune exec bin/ultraspan_cli.exe -- verify --quick --backend sharded -j 1 \
-    >"$tmp/verify-sh1.txt"
-  dune exec bin/ultraspan_cli.exe -- verify --quick --backend sharded -j 4 \
-    >"$tmp/verify-sh4.txt"
+  # corruption rejected, and the transcript byte-identical at -j 1, -j 4
+  # and on the ref engine.
+  dune exec bin/ultraspan_cli.exe -- verify --quick -j 1 \
+    >"$tmp/verify-j1.txt"
+  dune exec bin/ultraspan_cli.exe -- verify --quick -j 4 \
+    >"$tmp/verify-j4.txt"
   dune exec bin/ultraspan_cli.exe -- verify --quick --engine ref \
-    --backend seq >"$tmp/verify-ref.txt"
-  cmp "$tmp/verify-seq.txt" "$tmp/verify-sh1.txt"
-  cmp "$tmp/verify-seq.txt" "$tmp/verify-sh4.txt"
-  cmp "$tmp/verify-seq.txt" "$tmp/verify-ref.txt"
+    >"$tmp/verify-ref.txt"
+  cmp "$tmp/verify-j1.txt" "$tmp/verify-j4.txt"
+  cmp "$tmp/verify-j1.txt" "$tmp/verify-ref.txt"
   # the post-table gate: V1 bounds + local verification of fresh artifacts
   dune exec bench/main.exe -- --quick --table v1 --strict --verify local \
     --artifacts "$tmp/verify-artifacts" >/dev/null
@@ -254,6 +247,18 @@ stage_efficiency() {
 stage_perf() {
   dune exec bench/perf.exe -- --quick \
     --against BENCH_congest.json --tolerance 40
+  # Negative control: at --jobs 1 the sharded -j N vs -j 1 ratio is ~1, so
+  # its gate must fail, and for that reason.  One core skips the gate.
+  if [ "$(nproc 2>/dev/null || echo 1)" -lt 2 ]; then
+    echo "   (negative control skipped: 1 core)"
+  elif dune exec bench/perf.exe -- --quick --jobs 1 \
+      --against BENCH_congest.json --tolerance 40 \
+      >/dev/null 2>"$tmp/perf-j1.err"; then
+    echo "ERROR: the sharded speedup gate passed at --jobs 1" >&2
+    exit 1
+  else
+    grep -q "PERF REGRESSION mp:sharded speedup" "$tmp/perf-j1.err"
+  fi
 }
 
 stage_certbench() {
@@ -268,7 +273,7 @@ case "${1:-}" in
     exit 0
     ;;
   --help | -h)
-    sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 esac

@@ -68,28 +68,6 @@ let engine_arg =
            or ref (list-based reference oracle).  Both are observably \
            identical; the flag exists for A/B perf runs.")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (some (enum [ ("seq", `Seq); ("sharded", `Sharded) ])) None
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Fast-engine round-delivery backend: seq (single-domain) or \
-           sharded (two-phase parallel delivery over the domain pool; \
-           byte-identical results for any job count).  Default: sharded \
-           on a multicore machine, seq otherwise.  Not valid with \
-           --engine ref.")
-
-(* The ref oracle is list-based and single-domain by definition; reject
-   the contradictory combination up front with a one-line diagnostic
-   (main turns the Failure into exit 1). *)
-let check_engine_backend engine backend =
-  match (engine, backend) with
-  | `Ref, Some `Sharded ->
-      failwith "--engine ref has no sharded delivery backend (drop --backend \
-                sharded or use --engine fast)"
-  | _ -> ()
-
 let verify_mode_enum =
   Arg.enum
     [ ("local", Verify.Local); ("exact", Verify.Exact); ("probe", Verify.Probe) ]
@@ -219,11 +197,11 @@ let stats_cmd =
 
 (* ---------- shared algorithm dispatch ---------- *)
 
-let build_spanner ?(engine = `Fast) ?backend ?jobs ?metrics ~algo ~k ~t ~seed g =
+let build_spanner ?(engine = `Fast) ?jobs ?metrics ~algo ~k ~t ~seed g =
   match algo with
   | "bs" -> (Baswana_sen.run ~rng:(Rng.create seed) ~k g).Baswana_sen.spanner
   | "bs-distributed" ->
-      (Bs_distributed.run ?metrics ~engine ?backend ?jobs ~seed ~k g)
+      (Bs_distributed.run ?metrics ~engine ?jobs ~seed ~k g)
         .Bs_distributed.spanner
   | "bs-derand" -> (Bs_derand.run ~k g).Bs_derand.spanner
   | "linear" -> (Linear_size.run g).Linear_size.spanner
@@ -252,14 +230,13 @@ let build_certificate ~algo ~k ~eps ~seed g =
 
 (* ---------- spanner ---------- *)
 
-let spanner algo k t engine backend breakdown jobs verify mfile input family n
+let spanner algo k t engine breakdown jobs verify mfile input family n
     degree max_w seed output =
-  check_engine_backend engine backend;
   let g = load_graph input family n degree max_w seed in
   Format.printf "input: %a@." Graph.pp g;
   let ok =
     with_metrics mfile @@ fun metrics ->
-    let sp = build_spanner ~engine ?backend ~jobs ~metrics ~algo ~k ~t ~seed g in
+    let sp = build_spanner ~engine ~jobs ~metrics ~algo ~k ~t ~seed g in
     Printf.printf "spanner edges   : %d (%.2f per vertex)\n" (Spanner.size sp)
       (float_of_int (Spanner.size sp) /. float_of_int (Graph.n g));
     Printf.printf "spanning        : %b\n" (Spanner.is_spanning g sp);
@@ -279,7 +256,7 @@ let spanner algo k t engine backend breakdown jobs verify mfile input family n
     | Some mode ->
         (* the (2k-1) bound comes from --k, whatever --algo built *)
         report_verdict
-          (Verify.spanner ~engine ?backend ~jobs ~seed ~mode ~k g sp)
+          (Verify.spanner ~engine ~jobs ~seed ~mode ~k g sp)
   in
   if not ok then exit 1
 
@@ -305,8 +282,9 @@ let jobs_arg =
     & opt int (Parallel.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Fan the stretch verification over $(docv) domains (default \
-           ULTRASPAN_JOBS or 1).  The result is identical for every N.")
+          "Fan the stretch verification and the CONGEST simulator's node \
+           shards over $(docv) domains (default ULTRASPAN_JOBS or 1).  The \
+           result is identical for every N.")
 
 let spanner_cmd =
   Cmd.v
@@ -314,7 +292,7 @@ let spanner_cmd =
     Term.(
       const spanner $ spanner_algo_arg
       $ k_arg "Stretch parameter k (stretch 2k-1)."
-      $ t_arg $ engine_arg $ backend_arg $ breakdown_arg $ jobs_arg
+      $ t_arg $ engine_arg $ breakdown_arg $ jobs_arg
       $ verify_arg $ metrics_arg
       $ input_arg $ family_arg $ n_arg $ degree_arg $ weights_arg $ seed_arg
       $ output_arg)
@@ -619,10 +597,9 @@ let stream_cmd =
 
 (* ---------- verify ---------- *)
 
-let verify_matrix engine backend jobs quick seed =
-  check_engine_backend engine backend;
+let verify_matrix engine jobs quick seed =
   let ok =
-    Verify.matrix ~engine ?backend ~jobs ~seed ~quick Format.std_formatter
+    Verify.matrix ~engine ~jobs ~seed ~quick Format.std_formatter
   in
   if not ok then exit 1
 
@@ -643,10 +620,10 @@ let verify_cmd =
           erased detours, dropped forest arcs, flipped forest labels, \
           corrupted depth and root labels) and check every one is \
           rejected, plus eps-far probe controls.  The transcript is \
-          canonical: byte-identical across --engine, --backend and -j \
+          canonical: byte-identical across --engine and -j \
           (CI diffs it with cmp).  Exits non-zero on any miss.")
     Term.(
-      const verify_matrix $ engine_arg $ backend_arg $ jobs_arg $ quick_arg
+      const verify_matrix $ engine_arg $ jobs_arg $ quick_arg
       $ seed_arg)
 
 (* ---------- trace ---------- *)
@@ -656,9 +633,8 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let trace prog k root engine backend drop crashes top mfile input family n
+let trace prog k root engine drop crashes top mfile input family n
     degree max_w seed output =
-  check_engine_backend engine backend;
   let g = load_graph input family n degree max_w seed in
   Format.printf "input: %a@." Graph.pp g;
   let plan =
@@ -679,26 +655,26 @@ let trace prog k root engine backend drop crashes top mfile input family n
     Profile.time prof prog @@ fun () ->
     match prog with
     | "bfs" ->
-        snd (Programs.bfs ?faults ~trace:tr ~metrics ~engine ?backend g ~root)
+        snd (Programs.bfs ?faults ~trace:tr ~metrics ~engine g ~root)
     | "broadcast" ->
         snd
-          (Programs.broadcast_max ?faults ~trace:tr ~metrics ~engine ?backend g
+          (Programs.broadcast_max ?faults ~trace:tr ~metrics ~engine g
              ~values:(Array.init (Graph.n g) Fun.id))
     | p when faulty ->
         failwith
           (Printf.sprintf
              "program %s does not take a fault plan (only bfs | broadcast)" p)
     | "matching" ->
-        snd (Programs.maximal_matching ~trace:tr ~metrics ~engine ?backend g)
-    | "mis" -> snd (Programs.luby_mis ~trace:tr ~metrics ~engine ?backend ~seed g)
+        snd (Programs.maximal_matching ~trace:tr ~metrics ~engine g)
+    | "mis" -> snd (Programs.luby_mis ~trace:tr ~metrics ~engine ~seed g)
     | "bellman-ford" ->
         snd
-          (Programs.bellman_ford ~trace:tr ~metrics ~engine ?backend g
+          (Programs.bellman_ford ~trace:tr ~metrics ~engine g
              ~source:root)
     | "forest" ->
-        snd (Programs.spanning_forest ~trace:tr ~metrics ~engine ?backend g)
+        snd (Programs.spanning_forest ~trace:tr ~metrics ~engine g)
     | "bs" ->
-        (Bs_distributed.run ~trace:tr ~metrics ~engine ?backend ~seed ~k g)
+        (Bs_distributed.run ~trace:tr ~metrics ~engine ~seed ~k g)
           .Bs_distributed.network_stats
     | p -> failwith ("unknown program: " ^ p)
   in
@@ -759,7 +735,7 @@ let trace_cmd =
     Term.(
       const trace $ trace_program_arg
       $ k_arg "Stretch parameter k (program bs)."
-      $ root_arg $ engine_arg $ backend_arg $ drop_arg $ crashes_arg $ top_arg
+      $ root_arg $ engine_arg $ drop_arg $ crashes_arg $ top_arg
       $ metrics_arg
       $ input_arg $ family_arg $ n_arg $ degree_arg $ weights_arg $ seed_arg
       $ output_arg)

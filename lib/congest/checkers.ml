@@ -98,7 +98,7 @@ let sp_receive g ~keep ~k ~detour me st tok =
     | _ -> sp_check_failed st
   end
 
-let spanner ?engine ?backend ?jobs ?metrics g ~keep ~k ~detour =
+let spanner ?engine ?jobs ?metrics g ~keep ~k ~detour =
   if k < 1 then invalid_arg "Checkers.spanner: k >= 1";
   if Array.length keep <> Graph.m g then
     invalid_arg "Checkers.spanner: keep length mismatch";
@@ -126,8 +126,7 @@ let spanner ?engine ?backend ?jobs ?metrics g ~keep ~k ~detour =
   let max_rounds = (2 * k * (Graph.m g + 2)) + 4 in
   let word_limit = max 4 ((2 * k) + 3) in
   let states, stats =
-    Network.run ~max_rounds ~word_limit ?metrics ?engine ?backend ?jobs g
-      program
+    Network.run ~max_rounds ~word_limit ?metrics ?engine ?jobs g program
   in
   { accept = Array.map (fun s -> s.sp_ok) states; stats }
 
@@ -173,8 +172,7 @@ let fo_edge_ok ~k ~forest ~parent ~depth ~root me eid sender msg =
   done;
   !ok
 
-let forests ?engine ?backend ?jobs ?metrics g ~keep ~k ~forest ~parent ~depth
-    ~root =
+let forests ?engine ?jobs ?metrics g ~keep ~k ~forest ~parent ~depth ~root =
   if k < 1 then invalid_arg "Checkers.forests: k >= 1";
   if Array.length keep <> Graph.m g then
     invalid_arg "Checkers.forests: keep length mismatch";
@@ -221,7 +219,6 @@ let forests ?engine ?backend ?jobs ?metrics g ~keep ~k ~forest ~parent ~depth
   in
   let word_limit = max 4 (3 * k) in
   let states, stats =
-    Network.run ~max_rounds:8 ~word_limit ?metrics ?engine ?backend ?jobs g
-      program
+    Network.run ~max_rounds:8 ~word_limit ?metrics ?engine ?jobs g program
   in
   { accept = states; stats }

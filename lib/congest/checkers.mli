@@ -14,8 +14,8 @@ open! Import
     neighbours, and outputs a local accept/reject bit; the artifact is
     valid only if {e every} node accepts (a single global AND, which a real
     deployment would gather with one convergecast).  Like every program in
-    this library they run on both engines and both delivery backends with
-    byte-identical verdicts and stats at any [?jobs].
+    this library they run on both engines with byte-identical verdicts and
+    stats at any [?jobs].
 
     {b Round bounds.}  {!forests} is a 2-round protocol (one label
     exchange, one check round) with [3k]-word messages.  {!spanner}
@@ -36,7 +36,6 @@ val all_accept : verdict -> bool
 
 val spanner :
   ?engine:Network.engine ->
-  ?backend:Network.backend ->
   ?jobs:int ->
   ?metrics:Ultraspan_util.Metrics.t ->
   Graph.t ->
@@ -61,7 +60,6 @@ val spanner :
 
 val forests :
   ?engine:Network.engine ->
-  ?backend:Network.backend ->
   ?jobs:int ->
   ?metrics:Ultraspan_util.Metrics.t ->
   Graph.t ->

@@ -46,24 +46,16 @@ type engine = [ `Fast | `Ref ]
     detection is a slot-stamp check, inboxes come out sorted by sender for
     free (adjacency slices are sorted), and payloads live in a flat
     off-heap arena (one [word_limit]-word region per arc) instead of a
-    boxed array the GC would trace.  [`Ref] is the original list-based
-    loop, kept as a reference oracle; both engines are observably
-    identical — states, stats, fault events and traces match bit-for-bit
-    (enforced by the differential test suite). *)
-
-type backend = [ `Seq | `Sharded ]
-(** Round-delivery backend of the [`Fast] engine.  [`Seq] steps all nodes
-    on the calling domain.  [`Sharded] partitions the node range into a
-    fixed set of shards ({!Ultraspan_util.Parallel.block_count}, a
-    function of [n] alone) and runs each round as two barrier-separated
-    pool sections — inbox assembly, then step-and-deliver — fanned across
-    the deterministic domain pool.  Stats, states, deterministic metrics,
-    fault events, traces and model-violation exceptions are byte-identical
-    to [`Seq] for every job count: per-shard accumulators are folded on
-    the caller in shard-index (= node) order, and the order-sensitive
-    parts (fault RNG, trace hooks) force the step phase sequential
-    whenever [?faults] or [?trace] is attached.  The [`Ref] engine has no
-    sharded backend (requesting it is an [Invalid_argument]). *)
+    boxed array the GC would trace.  Each round runs as two
+    barrier-separated pool sections — inbox assembly, then
+    step-and-deliver — over a fixed set of node shards
+    ({!Ultraspan_util.Parallel.block_count}, a function of [n] alone),
+    fanned across the deterministic domain pool; per-shard accumulators
+    are folded on the caller in shard-index (= node) order.  [`Ref] is the
+    original list-based loop, kept as a reference oracle; both engines are
+    observably identical — states, stats, deterministic metrics, fault
+    events, traces and model-violation exceptions match bit-for-bit, for
+    every job count (enforced by the differential test suite). *)
 
 type stats = {
   rounds : int;  (** rounds executed *)
@@ -96,7 +88,6 @@ val run :
   ?trace:Trace.t ->
   ?metrics:Ultraspan_util.Metrics.t ->
   ?engine:engine ->
-  ?backend:backend ->
   ?jobs:int ->
   Graph.t ->
   'a program ->
@@ -107,15 +98,15 @@ val run :
     [engine] selects the message-plane implementation (default [`Fast];
     see {!type-engine}).
 
-    [backend] selects the [`Fast] engine's round-delivery strategy (see
-    {!type-backend}).  Default: [`Sharded] when the machine has more than
-    one core, [`Seq] otherwise — safe because the two are byte-identical
-    in every observable.  [jobs] bounds the domains the sharded backend
-    uses (default: {!Ultraspan_util.Parallel.default_jobs}); it never
-    affects results, only wall-clock.  One caveat: when a run raises a
-    model violation under the parallel step phase, the registry reflects
-    only the shards at or before the violating one — exactly what the
-    sequential backend would have recorded.
+    [jobs] bounds the domains the [`Fast] engine's shards use (default:
+    {!Ultraspan_util.Parallel.default_jobs}; the [`Ref] engine ignores
+    it); it never affects results, only wall-clock.  Fault injection and
+    trace hooks are order-sensitive, so with [?faults] or [?trace]
+    attached the step-and-deliver section runs at one job: shards in node
+    order on the caller, stopping at the first model violation.  When a
+    run raises a model violation, the registry reflects only the shards
+    at or before the violating one — exactly what a node-order run would
+    have recorded.
 
     [faults] subjects the run to a fault schedule (see {!Faults} for the
     exact semantics); the injector must be fresh, and afterwards
@@ -128,8 +119,7 @@ val run :
     [trace] attaches a fresh {!Trace} sink recording per-round, per-node
     and per-edge behaviour.  Tracing is pure observation: a run with a sink
     computes exactly the same states and stats as one without (tested
-    bit-for-bit), and with no sink the simulator takes the historical code
-    path unchanged.
+    bit-for-bit), and with no sink every trace hook is a no-op.
 
     [metrics] registers run counters in a {!Ultraspan_util.Metrics}
     registry (default: the disabled no-op sink).  Deterministic metrics
@@ -138,8 +128,9 @@ val run :
     the [congest.max_payload_words] gauge and the
     [congest.deliveries_per_round] histogram) are identical across engines
     and accumulate across runs sharing the registry.  Engine-internal
-    diagnostics (arena occupancy, merge-cursor work, inbox sorts) live
-    under [timing.congest.*], the execution namespace excluded from
-    determinism gates.  On {!Round_limit_exceeded} the registry is flagged
-    partial and keeps every counter recorded so far — matching how
-    [partial] stats stay available. *)
+    diagnostics (arena occupancy, parallel/sequential step rounds, inbox
+    sorts) live under [timing.congest.*], the execution namespace excluded
+    from determinism gates.  On {!Round_limit_exceeded} or a model
+    violation the registry is flagged partial, on both engines, and keeps
+    every counter recorded so far — matching how [partial] stats stay
+    available. *)

@@ -33,7 +33,6 @@ val run :
   ?trace:Ultraspan_congest.Trace.t ->
   ?metrics:Ultraspan_util.Metrics.t ->
   ?engine:Ultraspan_congest.Network.engine ->
-  ?backend:Ultraspan_congest.Network.backend ->
   ?jobs:int ->
   seed:int ->
   k:int ->
@@ -41,9 +40,9 @@ val run :
   outcome
 (** [run ~seed ~k g]: (2k-1)-spanner.  [seed] keys the shared hash family.
     Requires [k >= 1].  [trace] attaches a {!Ultraspan_congest.Trace} sink
-    to the protocol run (pure observation); [engine], [backend] and [jobs]
-    select the simulator message plane, delivery backend and domain budget
-    (see {!Ultraspan_congest.Network.engine} and
-    {!Ultraspan_congest.Network.backend}); [metrics]
+    to the protocol run (pure observation); [engine] and [jobs]
+    select the simulator message plane and domain budget (see
+    {!Ultraspan_congest.Network.engine} and
+    {!Ultraspan_congest.Network.run}); [metrics]
     accumulates the simulator's deterministic run counters
     (see {!Ultraspan_congest.Network.run}). *)

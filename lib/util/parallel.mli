@@ -69,8 +69,8 @@ val iter_blocks : ?jobs:int -> int -> (int -> int -> int -> unit) -> unit
     fixed partition of [0 .. n-1] ([block_count n] blocks, block [c]
     covering [n*c/k .. n*(c+1)/k - 1]), fanned across [jobs] domains.
     This is {!parallel_for} exposed at block granularity, for callers
-    that keep per-block state (e.g. the sharded CONGEST delivery
-    backend's per-shard stat accumulators).  [f] must write only to
+    that keep per-block state (e.g. the CONGEST simulator's
+    per-shard stat accumulators).  [f] must write only to
     per-block state; completion of the call synchronizes all writes. *)
 
 val map_array : ?jobs:int -> int -> (int -> 'a) -> 'a array

@@ -19,7 +19,7 @@ open! Import
     detached detours, erased witnesses, dropped forest arcs, flipped
     forest labels, corrupted depth/root labels) and checks every one is
     rejected.  Its output is canonical text: byte-identical across
-    engines, backends and job counts (the simulator's determinism
+    engines and job counts (the simulator's determinism
     contract), which CI enforces with [cmp]. *)
 
 type mode = Local | Exact | Probe
@@ -47,7 +47,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val spanner :
   ?engine:Network.engine ->
-  ?backend:Network.backend ->
   ?jobs:int ->
   ?seed:int ->
   ?epsilon:float ->
@@ -63,7 +62,6 @@ val spanner :
 
 val certificate :
   ?engine:Network.engine ->
-  ?backend:Network.backend ->
   ?jobs:int ->
   ?seed:int ->
   ?epsilon:float ->
@@ -78,7 +76,6 @@ val certificate :
 
 val matrix :
   ?engine:Network.engine ->
-  ?backend:Network.backend ->
   ?jobs:int ->
   seed:int ->
   quick:bool ->

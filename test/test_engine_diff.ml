@@ -198,75 +198,74 @@ let round_limit_agrees () =
   let f = partial `Fast and r = partial `Ref in
   Alcotest.(check bool) "limit parity" true (f = r && f <> None)
 
-(* ---------- sharded backend differential ----------
+(* ---------- sharded delivery differential ----------
 
-   The [`Sharded] backend of the fast engine must be byte-identical to
-   [`Seq] for every job count — bare (parallel step phase), traced and
-   faulted (step phase degrades sequential, assembly stays parallel), and
-   on model-violation / round-limit paths. *)
+   The [`Fast] engine's sharded round delivery must be byte-identical to
+   the [`Ref] oracle for every job count — bare (parallel step phase),
+   traced and faulted (step phase at one job, assembly stays parallel),
+   and on model-violation / round-limit paths. *)
 
-let observe_backend ~backend ~jobs ?plan g prog =
+let observe_jobs ~engine ~jobs ?plan g prog =
   let faults = Option.map Faults.make plan in
   let tr = Trace.create g in
-  let states, stats = Network.run ?faults ~trace:tr ~backend ~jobs g prog in
+  let states, stats = Network.run ?faults ~trace:tr ~engine ~jobs g prog in
   let events = match faults with Some f -> Faults.events f | None -> [] in
   (states, stats, events, Trace.to_jsonl tr)
 
 let sharded_bare =
-  qcheck ~count:60 "random programs: sharded == seq (bare, jobs 1/4)" seed_gen
+  qcheck ~count:60 "random programs: sharded == ref (bare, jobs 1/4)" seed_gen
     (fun seed ->
       let g = unit_graph_of_seed ~n_max:50 seed in
       let prog = random_program ~seed ~cap:(cap_of_seed seed) in
-      let seq = Network.run ~backend:`Seq g prog in
-      Network.run ~backend:`Sharded ~jobs:1 g prog = seq
-      && Network.run ~backend:`Sharded ~jobs:4 g prog = seq)
+      let ref_ = Network.run ~engine:`Ref g prog in
+      Network.run ~jobs:1 g prog = ref_ && Network.run ~jobs:4 g prog = ref_)
 
 let sharded_traced_faulted =
   qcheck ~count:40
-    "random programs: sharded == seq (trace + mixed faults, jobs 1/4)"
+    "random programs: sharded == ref (trace + mixed faults, jobs 1/4)"
     seed_gen (fun seed ->
       let g = unit_graph_of_seed ~n_max:50 seed in
       let prog = random_program ~seed ~cap:(cap_of_seed seed) in
       let plan = mixed_plan_of_seed g seed in
-      let seq = observe_backend ~backend:`Seq ~jobs:1 ~plan g prog in
-      observe_backend ~backend:`Sharded ~jobs:1 ~plan g prog = seq
-      && observe_backend ~backend:`Sharded ~jobs:4 ~plan g prog = seq)
+      let ref_ = observe_jobs ~engine:`Ref ~jobs:1 ~plan g prog in
+      observe_jobs ~engine:`Fast ~jobs:1 ~plan g prog = ref_
+      && observe_jobs ~engine:`Fast ~jobs:4 ~plan g prog = ref_)
 
 let sharded_metrics_jobs_invariant =
   qcheck ~count:15
-    "random programs: sharded deterministic metrics == seq (stripped)"
+    "random programs: sharded deterministic metrics == ref (stripped)"
     seed_gen (fun seed ->
       let g = unit_graph_of_seed ~n_max:50 seed in
       let prog = random_program ~seed ~cap:(cap_of_seed seed) in
-      let exposition backend jobs =
+      let exposition engine jobs =
         let r = Metrics.create () in
-        let _ = Network.run ~metrics:r ~backend ~jobs g prog in
+        let _ = Network.run ~metrics:r ~engine ~jobs g prog in
         Metrics.exposition ~strip:true (Metrics.snapshot r)
       in
-      let seq = exposition `Seq 1 in
-      exposition `Sharded 1 = seq && exposition `Sharded 4 = seq)
+      let ref_ = exposition `Ref 1 in
+      exposition `Fast 1 = ref_ && exposition `Fast 4 = ref_)
+
+let violation_of = function
+  | Network.Not_a_neighbor { sender; target } -> Some (`Nn (sender, target))
+  | Network.Duplicate_message { sender; target } -> Some (`Dup (sender, target))
+  | Network.Message_too_large { sender; words; limit } ->
+      Some (`Big (sender, words, limit))
+  | e -> raise e
 
 let sharded_violations_agree () =
   (* Violators placed mid-range so shard-ordered selection is exercised:
-     on a 50-path the sequential engine reaches node 10 first — the
-     sharded backend must raise node 10's violation too, for any jobs. *)
+     on a 50-path the reference engine reaches node 10 first — the
+     sharded delivery must raise node 10's violation too, for any jobs. *)
   let g = Generators.path 50 in
   let raises prog =
-    let attempt backend jobs =
-      match Network.run ~backend ~jobs g prog with
+    let attempt engine jobs =
+      match Network.run ~engine ~jobs g prog with
       | _ -> None
-      | exception Network.Not_a_neighbor { sender; target } ->
-          Some (`Nn (sender, target))
-      | exception Network.Duplicate_message { sender; target } ->
-          Some (`Dup (sender, target))
-      | exception Network.Message_too_large { sender; words; limit } ->
-          Some (`Big (sender, words, limit))
+      | exception e -> violation_of e
     in
-    let seq = attempt `Seq 1 in
+    let ref_ = attempt `Ref 1 in
     Alcotest.(check bool) "sharded violation parity" true
-      (seq <> None
-      && attempt `Sharded 1 = seq
-      && attempt `Sharded 4 = seq)
+      (ref_ <> None && attempt `Fast 1 = ref_ && attempt `Fast 4 = ref_)
   in
   let offender me out =
     {
@@ -294,6 +293,55 @@ let sharded_violations_agree () =
   raises (offender 30 [ (31, [| 0; 0; 0; 0; 0 |]) ]);
   raises two
 
+let sharded_violations_under_hooks () =
+  (* Faults and a trace attached, and two nodes in different shards of a
+     200-cycle commit model violations in round 2, after every node has
+     flooded its neighbours for two rounds under drops and crashes (node
+     100 crashes at the start of round 2, so its in-flight messages would
+     be dropped after the violation if a later shard ever ran).  The
+     fault log, the trace JSONL up to the violation and the exception
+     must be the reference engine's: the step phase runs at one job, and
+     the first violation stops every later shard before it draws fault
+     randomness or records a trace event. *)
+  let g = Generators.cycle 200 in
+  let prog =
+    {
+      Network.init = (fun _ _ -> ());
+      round =
+        (fun g ~round ~me () _ ->
+          let out =
+            if round = 2 && me = 50 then [ (52, [| 0 |]) ]
+            else if round = 2 && me = 150 then [ (149, [| 1 |]); (149, [| 2 |]) ]
+            else if round < 3 then
+              Graph.fold_adj g me (fun acc u _ -> (u, [| me |]) :: acc) []
+              |> List.rev
+            else []
+          in
+          { Network.state = (); out; halt = round >= 3 });
+    }
+  in
+  let plan =
+    Faults.empty |> Faults.with_drops ~seed:5 0.3
+    |> Faults.crash ~round:1 20 |> Faults.crash ~round:1 170
+    |> Faults.crash ~round:2 100
+  in
+  let observe engine jobs =
+    let f = Faults.make plan in
+    let tr = Trace.create g in
+    let viol =
+      match Network.run ~faults:f ~trace:tr ~engine ~jobs g prog with
+      | _ -> None
+      | exception e -> violation_of e
+    in
+    (viol, Faults.events f, Trace.to_jsonl tr)
+  in
+  let ((viol, events, _) as ref_) = observe `Ref 1 in
+  Alcotest.(check bool) "node 50 violates first" true
+    (viol = Some (`Nn (50, 52)));
+  Alcotest.(check bool) "faults were injected" true (events <> []);
+  Alcotest.(check bool) "-j 1 matches ref" true (observe `Fast 1 = ref_);
+  Alcotest.(check bool) "-j 4 matches ref" true (observe `Fast 4 = ref_)
+
 let sharded_round_limit_agrees () =
   let g = Generators.cycle 40 in
   let prog =
@@ -305,28 +353,15 @@ let sharded_round_limit_agrees () =
           { Network.state = (); out; halt = false });
     }
   in
-  let partial backend jobs =
-    match Network.run ~max_rounds:5 ~backend ~jobs g prog with
+  let partial engine jobs =
+    match Network.run ~max_rounds:5 ~engine ~jobs g prog with
     | _ -> None
     | exception Network.Round_limit_exceeded { limit; partial } ->
         Some (limit, partial)
   in
-  let seq = partial `Seq 1 in
+  let ref_ = partial `Ref 1 in
   Alcotest.(check bool) "sharded limit parity" true
-    (seq <> None && partial `Sharded 1 = seq && partial `Sharded 4 = seq)
-
-let ref_sharded_rejected () =
-  let g = Generators.path 3 in
-  let prog =
-    {
-      Network.init = (fun _ _ -> ());
-      round = (fun _ ~round:_ ~me:_ () _ -> { Network.state = (); out = []; halt = true });
-    }
-  in
-  Alcotest.check_raises "ref + sharded is invalid"
-    (Invalid_argument
-       "Network.run: the ref engine has no sharded delivery backend")
-    (fun () -> ignore (Network.run ~engine:`Ref ~backend:`Sharded g prog))
+    (ref_ <> None && partial `Fast 1 = ref_ && partial `Fast 4 = ref_)
 
 let suite =
   [
@@ -341,6 +376,7 @@ let suite =
     sharded_traced_faulted;
     sharded_metrics_jobs_invariant;
     case "sharded: model violations identical" sharded_violations_agree;
+    case "sharded: violations under faults and trace identical"
+      sharded_violations_under_hooks;
     case "sharded: round limit identical" sharded_round_limit_agrees;
-    case "sharded: rejected on ref engine" ref_sharded_rejected;
   ]

@@ -227,15 +227,17 @@ let flood_program rounds =
         { Network.state = (); out; halt = round >= rounds });
   }
 
-(* The arena counters are named once for both delivery backends; a perf
-   gate reading a backend-specific name would silently read 0 here. *)
-let arena_counters_backend_invariant () =
+(* The arena counters carry no backend or job count in their name; a perf
+   gate reading a stale name would silently read 0 here.  Their values do
+   not depend on the job count, and the deliveries they carry are the
+   reference engine's. *)
+let arena_counters_jobs_invariant () =
   let g =
     Generators.connected_gnp ~rng:(Rng.create 7) ~n:300 ~avg_degree:6.0
   in
-  let counters backend jobs =
+  let counters engine jobs =
     let r = Metrics.create () in
-    ignore (Network.run ~metrics:r ~backend ~jobs g (flood_program 3));
+    ignore (Network.run ~metrics:r ~engine ~jobs g (flood_program 3));
     let s = Metrics.snapshot r in
     List.map
       (fun name -> Option.value ~default:0 (Metrics.find_counter s name))
@@ -245,14 +247,15 @@ let arena_counters_backend_invariant () =
         "congest.deliveries_total";
       ]
   in
-  let seq = counters `Seq 1 in
+  let j1 = counters `Fast 1 in
   let arcs = 2 * Graph.m g in
   Alcotest.(check (list int))
-    "seq: every slot touched, one word per delivery"
+    "-j 1: every slot touched, one word per delivery"
     [ arcs; 3 * arcs; 3 * arcs ]
-    seq;
-  Alcotest.(check (list int)) "sharded -j 1" seq (counters `Sharded 1);
-  Alcotest.(check (list int)) "sharded -j 4" seq (counters `Sharded 4)
+    j1;
+  Alcotest.(check (list int)) "-j 4" j1 (counters `Fast 4);
+  Alcotest.(check int) "ref deliveries" (3 * arcs)
+    (List.nth (counters `Ref 1) 2)
 
 let partial_snapshot_on_round_limit () =
   let g = unit_graph_of_seed 12 in
@@ -265,6 +268,32 @@ let partial_snapshot_on_round_limit () =
   match Metrics.find_counter s "congest.rounds_total" with
   | Some rounds when rounds > 0 -> ()
   | _ -> Alcotest.fail "partial snapshot still carries the completed rounds"
+
+let partial_snapshot_on_violation () =
+  (* vertex 0's only neighbour on a 3-path is 1: sending to 2 is illegal *)
+  let g = Generators.path 3 in
+  let prog =
+    {
+      Network.init = (fun _ _ -> ());
+      round =
+        (fun _ ~round ~me () _ ->
+          let out = if round = 0 && me = 0 then [ (2, [| 0 |]) ] else [] in
+          { Network.state = (); out; halt = true });
+    }
+  in
+  let snapshot engine =
+    let r = Metrics.create () in
+    (match Network.run ~metrics:r ~engine g prog with
+    | exception Network.Not_a_neighbor _ -> ()
+    | _ -> Alcotest.fail "the illegal send must raise");
+    Metrics.snapshot r
+  in
+  let f = snapshot `Fast and r = snapshot `Ref in
+  Alcotest.(check bool) "fast flagged partial" true f.Metrics.partial;
+  Alcotest.(check bool) "ref flagged partial" true r.Metrics.partial;
+  Alcotest.(check string) "stripped snapshots agree"
+    (Metrics.exposition ~strip:true r)
+    (Metrics.exposition ~strip:true f)
 
 (* ---------- profile integration ---------- *)
 
@@ -317,10 +346,12 @@ let suite =
     case "exposition is deterministic" exposition_deterministic;
     engine_differential;
     jobs_invariance;
-    case "arena counters agree across backends and jobs"
-      arena_counters_backend_invariant;
+    case "arena counters agree across jobs, deliveries match ref"
+      arena_counters_jobs_invariant;
     case "round-limit abort flushes a partial snapshot"
       partial_snapshot_on_round_limit;
+    case "model violation flags the snapshot partial on both engines"
+      partial_snapshot_on_violation;
     case "profile: nested scopes, export, chrome events"
       profile_nested_scopes;
   ]
