@@ -41,6 +41,11 @@
    re-proves the identity at n = 1e6 (states, stats and stripped metric
    exposition compared across the Ref engine, -j 1 and -j 4).
 
+   Generator scaling: connected G(n, p) at degree 8 and n = 2.5e4 / 1e5
+   (gen:connected_gnp:n=...), each the fastest of five interleaved runs.
+   Every measuring mode fails (exit 1) when the exponent fitted to the
+   pair exceeds 1.4 — an absolute ceiling, so no baseline field backs it.
+
    Results are written as JSON (schema ultraspan-perf/7, default
    [BENCH_congest.json]) so future PRs can diff against the recorded
    baseline; every section records the [cores] and [jobs] it ran with.
@@ -334,6 +339,36 @@ let sharded_rows sizes =
         (once (Printf.sprintf "mp:sharded:n=%d" n) jobs_n))
     sizes
 
+(* Generator scaling: connected G(n, p) at degree 8 on two sizes 4x apart,
+   the input step of every pipeline.  One run at n=1e5 takes a fraction of
+   a second, so, as for the sharded pair, each row is the fastest of five
+   single runs interleaved with the other size's.  The exponent fitted to
+   the pair is gated against an absolute ceiling: the linear-time
+   generator reads 1.0-1.3 (cache effects between the two sizes), the
+   O(m*n) row-walk decoder it replaced read 1.8. *)
+let gen_sizes = (25_000, 100_000)
+let gen_degree = 8.0
+let gen_pairs = 5
+let gen_exponent_ceiling = 1.4
+
+let gen_rows () =
+  let once n () =
+    let t0 = Unix.gettimeofday () in
+    ignore
+      (Generators.connected_gnp ~rng:(Rng.create 47) ~n ~avg_degree:gen_degree);
+    {
+      name = Printf.sprintf "gen:connected_gnp:n=%d" n;
+      kind = "generator";
+      n;
+      runs = gen_pairs;
+      ns_per_run = (Unix.gettimeofday () -. t0) *. 1e9;
+      messages_per_run = 0;
+      rounds_per_run = 0;
+    }
+  in
+  let small, big = gen_sizes in
+  interleaved_best ~pairs:gen_pairs (once small) (once big)
+
 let protocol_rows ~quick =
   List.concat_map
     (fun n ->
@@ -557,7 +592,11 @@ let run_suite ~quick =
   Printf.printf
     "perf: dynamic repair vs rebuild (torus %dx%d, %d batches x %d ops)...\n%!"
     (dyn_side ~quick) (dyn_side ~quick) dyn_batches dyn_ops;
-  mp @ sharded @ proto @ par @ orc @ dynamic_rows ~quick
+  let dyn = dynamic_rows ~quick in
+  Printf.printf
+    "perf: connected G(n, p) generator at n in {%d, %d} (degree %g)...\n%!"
+    (fst gen_sizes) (snd gen_sizes) gen_degree;
+  mp @ sharded @ proto @ par @ orc @ dyn @ gen_rows ()
 
 let speedup_of rows =
   let fast = List.find (fun r -> r.name = "mp:fast") rows in
@@ -599,6 +638,30 @@ let dyn_speedup_of rows =
   | Some inc, Some rb when inc.ns_per_run > 0.0 ->
       rb.ns_per_run /. inc.ns_per_run
   | _ -> Float.nan
+
+(* The generator-scaling gate on the fresh rows: the exponent fitted to
+   the gen:connected_gnp pair must not exceed [gen_exponent_ceiling]
+   ([Stats.exponent_gate], whose unit test feeds it quadratic timings as
+   the negative control).  Returns the failure count. *)
+let gate_gen_scaling rows =
+  let samples =
+    List.filter_map
+      (fun r ->
+        if r.kind = "generator" then Some (float_of_int r.n, r.ns_per_run)
+        else None)
+      rows
+  in
+  match Stats.exponent_gate ~ceiling:gen_exponent_ceiling samples with
+  | Ok e ->
+      Printf.printf "gen:connected_gnp scaling exponent: %.2f (ceiling %.2f)\n"
+        e gen_exponent_ceiling;
+      0
+  | Error e ->
+      Printf.eprintf
+        "PERF REGRESSION gen:connected_gnp scaling exponent %.2f above \
+         ceiling %.2f\n"
+        e gen_exponent_ceiling;
+      1
 
 let print_rows rows =
   Printf.printf "%-26s %6s %8s %14s %14s %14s\n" "suite" "n" "runs" "ns/run"
@@ -1015,7 +1078,8 @@ let against ~quick ~tolerance ~suites_gate ~min_util ~max_waste ~eff
   failures :=
     !failures
     + gate_efficiency ~min_util ~max_waste
-        ~utilization:eff.eff_pool_utilization ~waste:eff.eff_arena_waste;
+        ~utilization:eff.eff_pool_utilization ~waste:eff.eff_arena_waste
+    + gate_gen_scaling rows;
   if suites_gate then begin
     let base_quick =
       match J.field_opt "quick" j with Some b -> J.bool b | None -> false
@@ -1248,6 +1312,7 @@ let () =
         smoke_failures
         + gate_efficiency ~min_util:!min_util ~max_waste:!max_waste
             ~utilization:eff.eff_pool_utilization ~waste:eff.eff_arena_waste
+        + gate_gen_scaling rows
       in
       Printf.printf "message-plane speedup (fast vs ref): %.2fx\n" speedup;
       Printf.printf "sharded -j %d vs -j 1 speedup at n=%d: %.2fx (%d core(s))\n"
@@ -1259,7 +1324,7 @@ let () =
         (Parallel.available_cores ());
       Printf.printf "wrote %s\n" file;
       if failures > 0 then begin
-        Printf.eprintf "efficiency gate: %d failure(s)\n" failures;
+        Printf.eprintf "perf gates: %d failure(s)\n" failures;
         exit 1
       end
   | _ -> die "--validate, --against and --gate-efficiency are mutually exclusive"

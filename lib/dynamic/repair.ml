@@ -263,7 +263,7 @@ let apply_batch t batch =
     batch;
   (* the batch is valid: rebuild the graph (ids renumber, n is fixed) *)
   let triples = Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) edges' [] in
-  let g' = Graph.of_edges ~n (List.sort compare triples) in
+  let g' = Graph.of_edges ~n triples in
   let m' = Graph.m g' in
   let old_span_size = Hashtbl.length t.span in
   let removed_list =

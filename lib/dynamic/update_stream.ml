@@ -154,7 +154,7 @@ let apply g batch =
   Graph.iter_edges g (fun e -> Hashtbl.replace present (e.Graph.u, e.Graph.v) e.Graph.w);
   List.iter (apply_model n present) batch;
   let triples = Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) present [] in
-  Graph.of_edges ~n (List.sort compare triples)
+  Graph.of_edges ~n triples
 
 let apply_all g t = List.fold_left apply g t.batches
 

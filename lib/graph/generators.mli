@@ -39,7 +39,12 @@ val circulant : int -> int list -> Graph.t
 (** {1 Random families} *)
 
 val gnp : rng:Ultraspan_util.Rng.t -> n:int -> p:float -> Graph.t
-(** Erdős–Rényi G(n,p) (possibly disconnected). *)
+(** Erdős–Rényi G(n,p) (possibly disconnected), in O(n + m) time and one
+    word of scratch per edge: geometric skips over the pair sequence
+    (Batagelj & Brandes 2005), one draw per edge plus one, decoded by a
+    row cursor that only moves forward and folded straight into CSR by
+    {!Graph.of_edge_iter}.  A [p] so small that [1 - p] rounds to 1 still
+    samples G(n, p), which is almost surely empty at any feasible [n]. *)
 
 val gnm : rng:Ultraspan_util.Rng.t -> n:int -> m:int -> Graph.t
 (** Uniform graph with exactly [m] distinct edges ([m] <= n(n-1)/2). *)
@@ -47,13 +52,16 @@ val gnm : rng:Ultraspan_util.Rng.t -> n:int -> m:int -> Graph.t
 val random_geometric :
   rng:Ultraspan_util.Rng.t -> n:int -> radius:float -> Graph.t
 (** Unit-square random geometric graph; edge weights are the Euclidean
-    distances scaled to integers in [1, 1000]. *)
+    distances scaled to integers in [1, 1000].  Expected O(n + m) time:
+    points are bucketed into square cells of side at least [radius], and
+    only the 3×3 neighbourhood of each point's cell is scanned.  A
+    [radius <= 0] joins only coincident points. *)
 
 val preferential_attachment :
   rng:Ultraspan_util.Rng.t -> n:int -> degree:int -> Graph.t
 (** Barabási–Albert-style: each new vertex attaches to [degree] existing
     vertices sampled proportionally to degree.  Connected by
-    construction. *)
+    construction.  O(n·degree) time over a flat endpoint pool. *)
 
 val random_regular : rng:Ultraspan_util.Rng.t -> n:int -> d:int -> Graph.t
 (** d-regular-ish graph by the configuration model with rejection of
@@ -73,13 +81,19 @@ val randomize_weights :
 (** Same topology and ids, weights uniform in [\[lo, hi\]]. *)
 
 val ensure_connected : rng:Ultraspan_util.Rng.t -> Graph.t -> Graph.t
-(** Add random inter-component edges (weight 1) until connected.  Edge ids
-    are {e not} preserved. *)
+(** Add random inter-component edges (weight 1) until connected: a chain
+    through one representative per component (its least vertex), in
+    shuffled order.  Edge ids are {e not} preserved.  O(n + m) up to the
+    inverse-Ackermann factor of the union-find that finds the components,
+    plus one {!Graph.of_edge_iter} rebuild when [g] is disconnected. *)
 
 val connected_gnp :
   rng:Ultraspan_util.Rng.t -> n:int -> avg_degree:float -> Graph.t
-(** G(n, p) with [p = avg_degree/(n-1)], patched to be connected.  The
-    bench harness's default workload. *)
+(** G(n, p) with [p = avg_degree/(n-1)], patched to be connected; equal
+    to [ensure_connected ~rng (gnp ~rng ~n ~p)], but the components are
+    read off the sampled pairs, so the graph is built once.  O(n + m) as
+    for {!gnp} and {!ensure_connected}.  The bench harness's default
+    workload. *)
 
 val weighted_connected_gnp :
   rng:Ultraspan_util.Rng.t -> n:int -> avg_degree:float -> max_w:int -> Graph.t

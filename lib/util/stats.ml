@@ -65,3 +65,25 @@ let histogram ~bins xs =
 let mean_int xs = mean (Array.map float_of_int xs)
 
 let sum_int xs = Array.fold_left ( + ) 0 xs
+
+let scaling_exponent samples =
+  let pts = Array.of_list samples in
+  let k = Array.length pts in
+  if k < 2 || Array.exists (fun (n, t) -> not (n > 0.0 && t > 0.0)) pts then
+    Float.nan
+  else begin
+    (* least-squares slope of log t on log n *)
+    let xs = Array.map (fun (n, _) -> log n) pts in
+    let ys = Array.map (fun (_, t) -> log t) pts in
+    let mx = mean xs and my = mean ys in
+    let sxy = ref 0.0 and sxx = ref 0.0 in
+    for i = 0 to k - 1 do
+      sxy := !sxy +. ((xs.(i) -. mx) *. (ys.(i) -. my));
+      sxx := !sxx +. ((xs.(i) -. mx) *. (xs.(i) -. mx))
+    done;
+    if !sxx = 0.0 then Float.nan else !sxy /. !sxx
+  end
+
+let exponent_gate ~ceiling samples =
+  let e = scaling_exponent samples in
+  if Float.is_finite e && e <= ceiling then Ok e else Error e

@@ -27,3 +27,15 @@ val histogram : bins:int -> float array -> (float * float * int) array
 val mean_int : int array -> float
 
 val sum_int : int array -> int
+
+val scaling_exponent : (float * float) list -> float
+(** [scaling_exponent [(n1, t1); (n2, t2); …]]: the exponent [e] of the
+    least-squares fit [t ≈ c·n^e], i.e. the slope of [log t] against
+    [log n].  NaN with fewer than two distinct sizes or any size or time
+    that is not positive. *)
+
+val exponent_gate :
+  ceiling:float -> (float * float) list -> (float, float) result
+(** [exponent_gate ~ceiling samples] is [Ok e] when the fitted
+    {!scaling_exponent} [e] is finite and at most [ceiling], [Error e]
+    otherwise (a NaN fit fails). *)

@@ -695,3 +695,141 @@ let suite =
       case "streamed: bad input rejected" streamed_rejects_bad_input;
       case "streamed: families connected" streamed_connected;
     ]
+
+(* ---------- linear-time generators vs their references ----------
+
+   [Generators_ref] holds the row-walk G(n,p), the all-pairs geometric
+   graph and the re-appending preferential attachment that the linear-time
+   generators replaced.  Both run from the same seed and must agree on the
+   edge array, the CSR and the next RNG draw, so every seeded graph built
+   downstream stays the same. *)
+
+let same_run gen ref_gen seed =
+  let r1 = Rng.create seed and r2 = Rng.create seed in
+  let g1 = gen r1 and g2 = ref_gen r2 in
+  Graph.edges g1 = Graph.edges g2
+  && Graph.csr g1 = Graph.csr g2
+  && g1 = g2
+  && Rng.int r1 1_000_000 = Rng.int r2 1_000_000
+
+let same_gnp ~n ~p =
+  same_run
+    (fun rng -> Generators.gnp ~rng ~n ~p)
+    (fun rng -> Generators_ref.gnp ~rng ~n ~p)
+
+let gnp_tiny_graphs () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun seed ->
+              Alcotest.(check bool)
+                (Printf.sprintf "n=%d p=%g seed=%d" n p seed)
+                true (same_gnp ~n ~p seed))
+            [ 1; 2; 3; 4 ])
+        [ 0.0; 0.3; 0.7; 1.0 ])
+    [ 0; 1; 2; 3 ]
+
+let gnp_matches_reference =
+  qcheck ~count:80 "gnp == row-walk reference (n <= 400)" seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int rng 401 in
+      let p =
+        match seed mod 5 with
+        | 0 -> 0.0
+        | 1 -> 1.0
+        | 2 -> Rng.float rng 1.0
+        | 3 -> Rng.float rng (Float.min 1.0 (8.0 /. float_of_int (max 1 n)))
+        (* small p whose 1 - p still rounds below 1: draws must not move *)
+        | _ -> if seed mod 2 = 0 then 2e-16 else 1e-12
+      in
+      same_gnp ~n ~p seed)
+
+(* When 1 - p rounds to 1, log (1 - p) = 0 made every skip 0 and returned
+   the complete graph.  The first skip of such a p runs far past the last
+   pair, so the graph is empty and exactly one draw is consumed. *)
+let gnp_tiny_p () =
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "1 - p rounds to 1" true (log (1.0 -. p) = 0.0);
+      List.iter
+        (fun n ->
+          let rng = Rng.create 7 in
+          let g = Generators.gnp ~rng ~n ~p in
+          Alcotest.(check int)
+            (Printf.sprintf "m at n=%d p=%g" n p)
+            0 (Graph.m g);
+          let r = Rng.create 7 in
+          ignore (Rng.float r 1.0);
+          Alcotest.(check int) "one draw consumed" (Rng.int r 1_000_000)
+            (Rng.int rng 1_000_000))
+        [ 10; 100_000 ])
+    [ 1e-17; 1e-300; 5e-324 ]
+
+let connected_gnp_matches_reference =
+  qcheck ~count:30 "connected_gnp == reference (dense and sparse)" seed_gen
+    (fun seed ->
+      List.for_all
+        (fun (n, avg_degree) ->
+          same_run
+            (fun rng -> Generators.connected_gnp ~rng ~n ~avg_degree)
+            (fun rng -> Generators_ref.connected_gnp ~rng ~n ~avg_degree)
+            seed)
+        [ (60, 30.0); (300, 1.5); (2, 0.5); (40, 100.0) ])
+
+let ensure_connected_matches_reference =
+  qcheck ~count:30 "ensure_connected == BFS-labelled reference" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 300 in
+      List.for_all
+        (fun g ->
+          same_run
+            (fun rng -> Generators.ensure_connected ~rng g)
+            (fun rng -> Generators_ref.ensure_connected ~rng g)
+            seed)
+        [
+          Generators.gnp ~rng ~n ~p:(Float.min 1.0 (1.5 /. float_of_int n));
+          Generators.random_geometric ~rng ~n ~radius:0.08;
+          Generators.randomize_weights ~rng ~lo:1 ~hi:50
+            (Generators.gnp ~rng ~n ~p:(Float.min 1.0 (2.0 /. float_of_int n)));
+          Graph.empty n;
+          Generators.path n;
+        ])
+
+let geometric_matches_reference =
+  qcheck ~count:40 "random_geometric == all-pairs reference" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int rng 401 in
+      List.for_all
+        (fun radius ->
+          same_run
+            (fun rng -> Generators.random_geometric ~rng ~n ~radius)
+            (fun rng -> Generators_ref.random_geometric ~rng ~n ~radius)
+            seed)
+        [ 0.0; -0.5; 0.01 +. Rng.float rng 0.3; 1e-4; 0.25; 1.0; 1.5 ])
+
+let preferential_matches_reference =
+  qcheck ~count:40 "preferential_attachment == Array.append reference"
+    seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let degree = 1 + Rng.int rng 6 in
+      let n = degree + 1 + Rng.int rng 400 in
+      same_run
+        (fun rng -> Generators.preferential_attachment ~rng ~n ~degree)
+        (fun rng -> Generators_ref.preferential_attachment ~rng ~n ~degree)
+        seed)
+
+let suite =
+  suite
+  @ [
+      case "gen: gnp == reference at n <= 3" gnp_tiny_graphs;
+      gnp_matches_reference;
+      case "gen: gnp with 1 - p rounding to 1 is empty" gnp_tiny_p;
+      connected_gnp_matches_reference;
+      ensure_connected_matches_reference;
+      geometric_matches_reference;
+      preferential_matches_reference;
+    ]

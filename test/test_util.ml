@@ -327,6 +327,32 @@ let hash_family_bad_args () =
     (Invalid_argument "Hash_family.create: negative degree") (fun () ->
       ignore (Hash_family.create ~degree:(-1) (Rng.create 0)))
 
+(* The perf suite's generator-scaling gate: linear and n log n timings
+   pass a 1.4 ceiling, quadratic ones (the row-walk G(n,p)) must fail —
+   the gate's negative control — and so must unusable samples. *)
+let stats_exponent_gate () =
+  let at f = List.map (fun n -> (n, f n)) [ 2.5e4; 1e5 ] in
+  let fit samples = Stats.scaling_exponent samples in
+  Alcotest.(check (float 1e-9)) "linear" 1.0 (fit (at (fun n -> 3e-6 *. n)));
+  Alcotest.(check (float 1e-9)) "quadratic" 2.0
+    (fit (at (fun n -> 1e-9 *. n *. n)));
+  Alcotest.(check (float 1e-9)) "three-point cubic" 3.0
+    (fit (List.map (fun n -> (n, n *. n *. n)) [ 10.0; 100.0; 1000.0 ]));
+  let passes samples =
+    Result.is_ok (Stats.exponent_gate ~ceiling:1.4 samples)
+  in
+  Alcotest.(check bool) "linear passes" true (passes (at (fun n -> 2e-6 *. n)));
+  Alcotest.(check bool) "n log n passes" true
+    (passes (at (fun n -> 1e-7 *. n *. log n)));
+  Alcotest.(check bool) "quadratic fails" false
+    (passes (at (fun n -> 1e-9 *. n *. n)));
+  Alcotest.(check bool) "n^1.5 fails" false (passes (at (fun n -> n ** 1.5)));
+  Alcotest.(check bool) "one size fails" false
+    (passes [ (1e5, 0.2); (1e5, 0.3) ]);
+  Alcotest.(check bool) "zero time fails" false
+    (passes [ (2.5e4, 0.0); (1e5, 0.2) ]);
+  Alcotest.(check bool) "empty fails" false (passes [])
+
 let suite =
   [
     case "rng: deterministic" rng_deterministic;
@@ -351,6 +377,7 @@ let suite =
     case "stats: histogram" stats_histogram;
     case "stats: histogram constant data" stats_histogram_constant;
     case "stats: empty" stats_empty;
+    case "stats: scaling exponent gate" stats_exponent_gate;
     case "profile: basics" profile_basics;
     case "hash_family: deterministic" hash_family_deterministic;
     hash_family_range;
